@@ -1,6 +1,6 @@
 (* Ablation benchmarks for the design choices DESIGN.md calls out:
-   evaluator access paths and join ordering, the preprocessing step of
-   the SCC algorithm, and its selection criterion. *)
+   the evaluator's plan cache, the preprocessing step of the SCC
+   algorithm, and its selection criterion. *)
 
 open Relational
 
@@ -12,70 +12,12 @@ let time f =
 
 (* --------------------------- Evaluator ---------------------------- *)
 
-(* A join whose syntactic order is adversarial: the big Edge relation
-   comes first, the single-row Mark atoms last.  Greedy planning starts
-   from the selective atoms and walks the join through indexes; the
-   fixed orders pay for starting blind. *)
-let evaluator ?(rows = 3_000) () =
-  Printf.printf "\n== Ablation: evaluator access path and join order ==\n";
-  Printf.printf
-    "(Edge(x,y), Edge(y,z), Mark(z) with |Edge| = %d and |Mark| = 1, \
-     selective atom written last)\n"
-    rows;
-  let db = Database.create () in
-  ignore (Database.create_table' db "Edge" [ "a"; "b" ]);
-  ignore (Database.create_table' db "Mark" [ "a" ]);
-  let rng = Prng.create 99 in
-  for _ = 1 to rows do
-    Database.insert db "Edge"
-      [ Value.Int (Prng.int rng rows); Value.Int (Prng.int rng rows) ]
-  done;
-  (* Mark one value that is guaranteed to appear as an edge target. *)
-  let target =
-    match Relation.to_list (Database.relation db "Edge") with
-    | t :: _ -> t.(1)
-    | [] -> Value.Int 0
-  in
-  Database.insert db "Mark" [ target ];
-  let body =
-    Cq.make
-      [
-        { Cq.rel = "Edge"; args = [| Term.Var "x"; Term.Var "y" |] };
-        { Cq.rel = "Edge"; args = [| Term.Var "y"; Term.Var "z" |] };
-        { Cq.rel = "Mark"; args = [| Term.Var "z" |] };
-      ]
-  in
-  (* Warm the indexes so the scan variant is not unfairly charged for
-     building them. *)
-  ignore (Eval.find_first db body);
-  Series.start "ablation_evaluator"
-    [ "variant"; "time_ms"; "tuples_scanned"; "found" ];
-  let run plan label =
-    let c0 = Database.snapshot_counters db in
-    let result, t = time (fun () -> Eval.find_first ~plan db body) in
-    let d = Counters.diff ~before:c0 ~after:(Database.snapshot_counters db) in
-    Printf.printf "  %-22s %10.3f ms   %9d tuples   (found: %b)\n" label t
-      d.tuples_scanned (Option.is_some result);
-    Series.row "ablation_evaluator"
-      [
-        label;
-        Printf.sprintf "%.3f" t;
-        string_of_int d.tuples_scanned;
-        string_of_bool (Option.is_some result);
-      ]
-  in
-  run Eval.Compiled "compiled + cache";
-  run Eval.Greedy_indexed "greedy + index";
-  run Eval.Fixed_indexed "fixed order + index";
-  run Eval.Fixed_scan "fixed order + scan"
-
 (* Figure-4-style probe stream: the coordination algorithms issue long
    runs of structurally identical queries that differ only in their
    constants (each suffix candidate grounds the same body shape with its
    members' topics).  This is exactly what the plan cache is for: one
-   compilation serves the whole stream.  Interpreted evaluation re-plans
-   per probe; compiled-nocache re-compiles per probe; compiled+cache
-   compiles once. *)
+   compilation serves the whole stream.  Without the cache the
+   evaluator re-compiles per probe; with it, it compiles once. *)
 let evaluator_batch ?(rows = 20_000) ?(probes = 2_000) () =
   Printf.printf "\n== Ablation: compiled plans over isomorphic probe streams ==\n";
   Printf.printf
@@ -100,12 +42,12 @@ let evaluator_batch ?(rows = 20_000) ?(probes = 2_000) () =
   ignore (Eval.satisfiable db (List.hd bodies));
   Series.start "ablation_evaluator_batch"
     [ "variant"; "time_ms"; "plan_hits"; "plan_misses"; "tuples_scanned" ];
-  let run plan label =
+  let run cache label =
     let c0 = Database.snapshot_counters db in
     let sat, t =
       time (fun () ->
           List.fold_left
-            (fun acc body -> if Eval.satisfiable ~plan db body then acc + 1 else acc)
+            (fun acc body -> if Eval.satisfiable ~cache db body then acc + 1 else acc)
             0 bodies)
     in
     let d = Counters.diff ~before:c0 ~after:(Database.snapshot_counters db) in
@@ -121,9 +63,8 @@ let evaluator_batch ?(rows = 20_000) ?(probes = 2_000) () =
         string_of_int d.tuples_scanned;
       ]
   in
-  run Eval.Greedy_indexed "interpreted";
-  run Eval.Compiled_nocache "compiled, no cache";
-  run Eval.Compiled "compiled + cache"
+  run false "compiled, no cache";
+  run true "compiled + cache"
 
 (* ------------------------- Preprocessing -------------------------- *)
 
@@ -252,7 +193,8 @@ let parallel ?(rows = 600) ?(users = 150) () =
   List.iter
     (fun domains ->
       match
-        Coordination.Parallel.solve ~domains db Workload.Flights.config queries
+        Coordination.Executor.solve_consistent ~domains db
+          Workload.Flights.config queries
       with
       | Error _ -> ()
       | Ok par ->
@@ -1234,39 +1176,3 @@ let service ?(rows = 2_000) ?(requests = 512) ?(clients = [ 1; 8; 64 ]) () =
           end)
         [ ("no-wal", None); ("wal-nofsync", Some Durable.Never) ])
     clients
-
-let run_all ?(fast = false) () =
-  if fast then begin
-    evaluator ~rows:1_000 ();
-    evaluator_batch ~rows:5_000 ~probes:300 ();
-    preprocess ~rows:5_000 ~n:15 ();
-    selection ~rows:5_000 ~n:20 ();
-    minimize ~rows:5_000 ~n:12 ();
-    realistic ~rows:100 ~users:20 ();
-    parallel ~rows:150 ~users:40 ();
-    online ~rows:5_000 ~n:20 ();
-    online_scaling ~rows:1_000 ~pools:[ 200; 1_000 ] ();
-    parallel_scaling ~rows:1_000 ();
-    observability ~rows:5_000 ~n:15 ~repeats:3 ();
-    resilience ~rows:5_000 ~n:15 ~repeats:3 ();
-    storage ~repeats:3 ();
-    durability ~rows:1_000 ~pools:[ 200; 1_000 ] ();
-    service ~rows:1_000 ~requests:256 ~clients:[ 1; 8 ] ()
-  end
-  else begin
-    evaluator ();
-    evaluator_batch ();
-    preprocess ();
-    selection ();
-    minimize ();
-    realistic ();
-    parallel ();
-    online ();
-    online_scaling ();
-    parallel_scaling ();
-    observability ();
-    resilience ();
-    storage ();
-    durability ();
-    service ()
-  end

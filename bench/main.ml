@@ -9,17 +9,99 @@
      dune exec bench/main.exe -- --bechamel
      dune exec bench/main.exe -- --fast        (reduced sizes, for CI) *)
 
+(* Every ablation under its --ablation name, with the reduced sizes
+   --fast selects. *)
+let ablations : (string * (fast:bool -> unit)) list =
+  [
+    ( "evaluator",
+      fun ~fast ->
+        if fast then Ablations.evaluator_batch ~rows:5_000 ~probes:300 ()
+        else Ablations.evaluator_batch () );
+    ( "preprocess",
+      fun ~fast ->
+        if fast then Ablations.preprocess ~rows:5_000 ~n:15 ()
+        else Ablations.preprocess () );
+    ( "selection",
+      fun ~fast ->
+        if fast then Ablations.selection ~rows:5_000 ~n:20 ()
+        else Ablations.selection () );
+    ( "minimize",
+      fun ~fast ->
+        if fast then Ablations.minimize ~rows:5_000 ~n:12 ()
+        else Ablations.minimize () );
+    ( "realistic",
+      fun ~fast ->
+        if fast then Ablations.realistic ~rows:100 ~users:20 ()
+        else Ablations.realistic () );
+    ( "parallel",
+      fun ~fast ->
+        if fast then Ablations.parallel ~rows:150 ~users:40 ()
+        else Ablations.parallel () );
+    ( "online",
+      fun ~fast ->
+        if fast then Ablations.online ~rows:5_000 ~n:20 ()
+        else Ablations.online () );
+    ( "online-scaling",
+      fun ~fast ->
+        if fast then
+          Ablations.online_scaling ~rows:1_000 ~pools:[ 200; 1_000 ] ()
+        else Ablations.online_scaling () );
+    ( "parallel-scaling",
+      fun ~fast ->
+        if fast then Ablations.parallel_scaling ~rows:1_000 ()
+        else Ablations.parallel_scaling () );
+    ( "online-sharded",
+      fun ~fast ->
+        (* 100k pool even in fast mode: the sharded-throughput gate is
+           only meaningful at the acceptance pool size. *)
+        if fast then
+          Ablations.online_sharded ~rows:1_000 ~pools:[ 100_000 ]
+            ~domain_counts:[ 1; 2; 4 ] ()
+        else Ablations.online_sharded () );
+    ( "observability",
+      fun ~fast ->
+        if fast then
+          Ablations.observability ~rows:5_000 ~n:15 ~repeats:13 ~iters:50 ()
+        else Ablations.observability () );
+    ( "resilience",
+      fun ~fast ->
+        if fast then Ablations.resilience ~rows:5_000 ~n:15 ~repeats:3 ()
+        else Ablations.resilience () );
+    ( "storage",
+      fun ~fast ->
+        (* 100k rows even in fast mode: the speedup and allocation gates
+           are only meaningful at the acceptance workload size. *)
+        if fast then Ablations.storage ~repeats:3 () else Ablations.storage () );
+    ( "durability",
+      fun ~fast ->
+        if fast then Ablations.durability ~rows:1_000 ~pools:[ 200; 1_000 ] ()
+        else Ablations.durability () );
+    ( "service",
+      fun ~fast ->
+        if fast then
+          Ablations.service ~rows:1_000 ~requests:256 ~clients:[ 1; 8 ] ()
+        else Ablations.service () );
+  ]
+
+let ablation_names = String.concat "|" (List.map fst ablations)
+
 let usage =
-  "main.exe [--fast] [--figure N]... [--ablation \
-   evaluator|preprocess|selection|minimize|realistic|parallel|online|\
-   online-scaling|parallel-scaling|observability|resilience|storage|\
-   durability|service]... \
-   [--bechamel] \
-   [--figures-only] [--json FILE]"
+  Printf.sprintf
+    "main.exe [--fast] [--figure N]... [--ablation %s]... [--bechamel] \
+     [--figures-only] [--json FILE]"
+    ablation_names
+
+(* A mistyped name must not pass as a run that did nothing. *)
+let refuse fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      exit 2)
+    fmt
 
 let () =
   let figures = ref [] in
-  let ablations = ref [] in
+  let requested = ref [] in
   let bechamel_only = ref false in
   let figures_only = ref false in
   let fast = ref false in
@@ -28,8 +110,8 @@ let () =
     [
       ("--figure", Arg.Int (fun n -> figures := n :: !figures),
        "N  run only figure N (4..8); repeatable");
-      ("--ablation", Arg.String (fun s -> ablations := s :: !ablations),
-       "NAME  run only this ablation (evaluator|preprocess|selection)");
+      ("--ablation", Arg.String (fun s -> requested := s :: !requested),
+       "NAME  run only this ablation (" ^ ablation_names ^ "); repeatable");
       ("--bechamel", Arg.Set bechamel_only, " run only the micro-benchmarks");
       ("--figures-only", Arg.Set figures_only, " skip ablations and bechamel");
       ("--fast", Arg.Set fast, " reduced sizes (CI-friendly)");
@@ -49,6 +131,17 @@ let () =
      `observability` ablation toggles this itself to measure overhead. *)
   Obs.set_metrics true;
   let fast = !fast in
+  List.iter
+    (fun n ->
+      if n < 4 || n > 8 then
+        refuse "no figure %d (the paper has figures 4-8)" n)
+    !figures;
+  List.iter
+    (fun name ->
+      if not (List.mem_assoc name ablations) then
+        refuse "unknown ablation %s (valid: %s)" name
+          (String.concat ", " (List.map fst ablations)))
+    !requested;
   let ran_something = ref false in
   List.iter
     (fun n ->
@@ -59,73 +152,13 @@ let () =
       | 6 -> if fast then Figures.figure6 ~seeds:3 ~sizes:[ 100; 300 ] () else Figures.figure6 ()
       | 7 -> if fast then Figures.figure7 ~sizes:[ 100; 300 ] () else Figures.figure7 ()
       | 8 -> if fast then Figures.figure8 ~sizes:[ 10; 30; 50 ] () else Figures.figure8 ()
-      | n -> Printf.eprintf "no figure %d (the paper has figures 4-8)\n" n)
+      | _ -> assert false (* refused above *))
     (List.rev !figures);
   List.iter
     (fun name ->
       ran_something := true;
-      match name with
-      | "evaluator" ->
-        if fast then begin
-          Ablations.evaluator ~rows:1_000 ();
-          Ablations.evaluator_batch ~rows:5_000 ~probes:300 ()
-        end
-        else begin
-          Ablations.evaluator ();
-          Ablations.evaluator_batch ()
-        end
-      | "preprocess" ->
-        if fast then Ablations.preprocess ~rows:5_000 ~n:15 ()
-        else Ablations.preprocess ()
-      | "selection" ->
-        if fast then Ablations.selection ~rows:5_000 ~n:20 ()
-        else Ablations.selection ()
-      | "minimize" ->
-        if fast then Ablations.minimize ~rows:5_000 ~n:12 ()
-        else Ablations.minimize ()
-      | "realistic" ->
-        if fast then Ablations.realistic ~rows:100 ~users:20 ()
-        else Ablations.realistic ()
-      | "parallel" ->
-        if fast then Ablations.parallel ~rows:150 ~users:40 ()
-        else Ablations.parallel ()
-      | "online" ->
-        if fast then Ablations.online ~rows:5_000 ~n:20 ()
-        else Ablations.online ()
-      | "online-scaling" ->
-        if fast then
-          Ablations.online_scaling ~rows:1_000 ~pools:[ 200; 1_000 ] ()
-        else Ablations.online_scaling ()
-      | "parallel-scaling" ->
-        if fast then Ablations.parallel_scaling ~rows:1_000 ()
-        else Ablations.parallel_scaling ()
-      | "online-sharded" ->
-        (* 100k pool even in fast mode: the sharded-throughput gate is
-           only meaningful at the acceptance pool size. *)
-        if fast then
-          Ablations.online_sharded ~rows:1_000 ~pools:[ 100_000 ]
-            ~domain_counts:[ 1; 2; 4 ] ()
-        else Ablations.online_sharded ()
-      | "observability" ->
-        if fast then Ablations.observability ~rows:5_000 ~n:15 ~repeats:13 ~iters:50 ()
-        else Ablations.observability ()
-      | "resilience" ->
-        if fast then Ablations.resilience ~rows:5_000 ~n:15 ~repeats:3 ()
-        else Ablations.resilience ()
-      | "durability" ->
-        if fast then Ablations.durability ~rows:1_000 ~pools:[ 200; 1_000 ] ()
-        else Ablations.durability ()
-      | "service" ->
-        if fast then
-          Ablations.service ~rows:1_000 ~requests:256 ~clients:[ 1; 8 ] ()
-        else Ablations.service ()
-      | "storage" ->
-        (* 100k rows even in fast mode: the speedup and allocation gates
-           are only meaningful at the acceptance workload size. *)
-        if fast then Ablations.storage ~repeats:3 ()
-        else Ablations.storage ()
-      | s -> Printf.eprintf "unknown ablation %s\n" s)
-    (List.rev !ablations);
+      (List.assoc name ablations) ~fast)
+    (List.rev !requested);
   if !bechamel_only then begin
     ran_something := true;
     Micro.run_all ()
@@ -133,7 +166,7 @@ let () =
   if not !ran_something then begin
     Figures.run_all ~fast ();
     if not !figures_only then begin
-      Ablations.run_all ~fast ();
+      List.iter (fun (_, run) -> run ~fast) ablations;
       Micro.run_all ()
     end
   end;

@@ -109,8 +109,16 @@ val solve_consistent :
   Consistent_query.config ->
   Consistent_query.t list ->
   (Consistent.outcome, Consistent.error) result
-(** Parallel consistent coordination ({!Consistent} staged interface):
-    [prepare] and [finalize] run on the calling domain; the pure
-    per-value survivor computation fans out one task per v in V(Q).
-    {!Parallel.solve} delegates here.  Equivalent to
-    [Consistent.solve ~selection:`Largest]. *)
+(** Parallel consistent coordination ({!Consistent} staged interface).
+    Section 6.2 closes: "our implementation does not use any
+    parallelism, although our algorithm naturally breaks into parallel
+    processes, where each possible value can be easily checked
+    independently ... we leave this enhancement open for future work."
+    This is that enhancement: [prepare] and [finalize] run on the
+    calling domain, so the shared store is never touched concurrently,
+    and the pure per-value survivor computation
+    ({!Consistent.survivors}) fans out one task per v in V(Q).  The CLI
+    reaches it through [solve --algorithm consistent --parallel].
+    Equivalent to [Consistent.solve ~selection:`Largest]: candidates
+    come back in the same deterministic value order and ties break the
+    same way.  [domains = 1] degenerates to the sequential loop. *)

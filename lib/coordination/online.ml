@@ -605,6 +605,35 @@ let flush_full engine results =
     end
   done
 
+(* The components a flush round must (re-)evaluate, as ascending id
+   lists ordered by smallest member — the order both flush modes try
+   them in.  Full-rebuild has no dirty tracking: every live
+   component is due every round, exactly as [flush_full] re-derives
+   them. *)
+let dirty_components engine =
+  match engine.mode with
+  | Full_rebuild -> (
+    match live_entries engine with
+    | [] -> []
+    | live ->
+      let ids = Array.of_list (List.map (fun e -> e.id) live) in
+      wcc (Array.of_list (List.map (fun e -> e.query) live))
+      |> List.map (List.map (fun p -> ids.(p))))
+  | Incremental ->
+    let roots = Hashtbl.create 8 in
+    Hashtbl.iter
+      (fun id () ->
+        if Hashtbl.mem engine.entries id then
+          Hashtbl.replace roots (Graphs.Union_find.find engine.uf id) ())
+      engine.dirty;
+    Hashtbl.fold
+      (fun r () acc ->
+        match Hashtbl.find_opt engine.comp_members r with
+        | None | Some [] -> acc
+        | Some ids -> List.sort Int.compare ids :: acc)
+      roots []
+    |> List.sort (fun a b -> Int.compare (List.hd a) (List.hd b))
+
 (* Incremental flush: only dirty components are evaluated — an all-clean
    component was last evaluated (completely, to no fire) with exactly
    its current member set and database contents, so it provably cannot
@@ -615,21 +644,7 @@ let flush_incremental engine results =
   let progress = ref true in
   while !progress do
     progress := false;
-    let roots = Hashtbl.create 8 in
-    Hashtbl.iter
-      (fun id () ->
-        if Hashtbl.mem engine.entries id then
-          Hashtbl.replace roots (Graphs.Union_find.find engine.uf id) ())
-      engine.dirty;
-    let comps =
-      Hashtbl.fold
-        (fun r () acc ->
-          match Hashtbl.find_opt engine.comp_members r with
-          | None | Some [] -> acc
-          | Some ids -> List.sort Int.compare ids :: acc)
-        roots []
-      |> List.sort (fun a b -> Int.compare (List.hd a) (List.hd b))
-    in
+    let comps = dirty_components engine in
     let rec try_components = function
       | [] -> ()
       | c :: rest -> (
@@ -657,115 +672,7 @@ let flush_core engine =
   | Incremental -> flush_incremental engine results);
   List.rev !results
 
-(* The components a flush round must (re-)evaluate, as ascending id
-   lists ordered by smallest member — the order both sequential flush
-   modes try them in.  Full-rebuild has no dirty tracking: every live
-   component is due every round, exactly as [flush_full] re-derives
-   them. *)
-let dirty_components engine =
-  match engine.mode with
-  | Full_rebuild -> (
-    match live_entries engine with
-    | [] -> []
-    | live ->
-      let ids = Array.of_list (List.map (fun e -> e.id) live) in
-      wcc (Array.of_list (List.map (fun e -> e.query) live))
-      |> List.map (List.map (fun p -> ids.(p))))
-  | Incremental ->
-    let roots = Hashtbl.create 8 in
-    Hashtbl.iter
-      (fun id () ->
-        if Hashtbl.mem engine.entries id then
-          Hashtbl.replace roots (Graphs.Union_find.find engine.uf id) ())
-      engine.dirty;
-    Hashtbl.fold
-      (fun r () acc ->
-        match Hashtbl.find_opt engine.comp_members r with
-        | None | Some [] -> acc
-        | Some ids -> List.sort Int.compare ids :: acc)
-      roots []
-    |> List.sort (fun a b -> Int.compare (List.hd a) (List.hd b))
-
-(* Parallel flush: each round evaluates every due component
-   speculatively — read-only, on unguarded worker views sharing the
-   store — then walks the verdicts in the sequential order.  "Cannot
-   fire" verdicts are sound to trust and cache because the store did
-   not move during the round (workers only read) and conjunctive
-   queries are monotone; the first "can fire" component is re-evaluated
-   through the sequential [evaluate] on the engine's own database,
-   which commits the retirement and inventory consumption, and the
-   round restarts — so the fired sequence, the final store and the
-   pending pool are exactly the sequential flush's.  Components after
-   the first fire are left untouched (still dirty), like the
-   sequential rescan.
-
-   Stats: no-fire outcomes are merged as the sequential flush would
-   have, and per-component probe/tuple/candidate counts are
-   deterministic; only the plan-cache hit/miss split can attribute
-   differently, because which concurrent evaluation compiles a shared
-   shape first depends on the schedule (the hit+miss total is stable).
-   Speculative evaluations of components at or beyond the first fire
-   are discarded unmerged. *)
-let flush_speculative engine k =
-  let results = ref [] in
-  Database.warm_indexes engine.db;
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    let comps = dirty_components engine in
-    if comps <> [] then begin
-      let comp_arr = Array.of_list comps in
-      let inputs =
-        Array.map
-          (fun ids ->
-            List.map (fun id -> (Hashtbl.find engine.entries id).query) ids)
-          comp_arr
-      in
-      let verdicts =
-        Executor.Pool.map ~domains:k
-          ~weights:(Array.map List.length comp_arr)
-          (fun i ->
-            let view = Database.worker_view engine.db in
-            Scc_algo.solve ~selection:engine.selection view inputs.(i))
-      in
-      (* [Pool.map] joined every domain already; surface the first
-         trapped crash through the canonical path (which also dumps a
-         flight-recorder incident) rather than a bare raise. *)
-      Executor.raise_first_crash verdicts;
-      let fired_this_round = ref false in
-      Array.iteri
-        (fun i verdict ->
-          if not !fired_this_round then
-            match verdict with
-            | Error _ -> assert false
-            | Ok (Error _ws) ->
-              (* Unsafe: the verdict caches exactly as in the
-                 sequential flush. *)
-              if engine.mode = Incremental then
-                List.iter
-                  (fun id -> Hashtbl.remove engine.dirty id)
-                  comp_arr.(i)
-            | Ok (Ok outcome) -> (
-              match outcome.Scc_algo.solution with
-              | None ->
-                Stats.merge ~into:engine.stats outcome.Scc_algo.stats;
-                if engine.mode = Incremental then
-                  List.iter
-                    (fun id -> Hashtbl.remove engine.dirty id)
-                    comp_arr.(i)
-              | Some _ -> (
-                match evaluate engine comp_arr.(i) with
-                | Ok (Some fired) ->
-                  results := fired :: !results;
-                  fired_this_round := true;
-                  progress := true
-                | Ok None | Error _ -> ())))
-        verdicts
-    end
-  done;
-  List.rev !results
-
-let flush ?domains engine =
+let flush engine =
   let pool0 = Hashtbl.length engine.entries in
   Obs.with_span
     ~args:(fun () ->
@@ -776,11 +683,7 @@ let flush ?domains engine =
     "online.flush"
   @@ fun () ->
   begin_op engine;
-  let fired =
-    match domains with
-    | None -> flush_core engine
-    | Some k -> flush_speculative engine (max 1 k)
-  in
+  let fired = flush_core engine in
   emit engine
     (Journal.Op_end { op = Journal.Flush_op; fired = List.length fired });
   sync_db_version engine;

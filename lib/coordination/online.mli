@@ -112,25 +112,11 @@ val submit_all : t -> Query.t list -> coordinated list
     counterpart of eager {!submit}.  Queries whose component is unsafe
     are left pending (there is no single arrival to reject). *)
 
-val flush : ?domains:int -> t -> coordinated list
+val flush : t -> coordinated list
 (** Evaluate the pending pool's weakly connected components — in
     incremental mode, only those touched since their last evaluation;
     satisfied sets leave the pool.  Returns them in discovery order.
-
-    With [~domains:k] the due components are the shard list for the
-    batch executor's pool ({!Executor.Pool}): each flush round
-    evaluates every due component speculatively on read-only
-    {!Relational.Database.worker_view}s across [k] domains, trusts and
-    caches the "cannot fire" verdicts (sound because workers never
-    write and conjunctive queries are monotone), and commits only the
-    first fireable component — re-evaluated sequentially on the
-    engine's database so retirement and inventory consumption are
-    exactly the sequential flush's.  Fired sets, final store and
-    pending pool are identical to [flush] without [domains] for any
-    [k]; cumulative {!stats} match too except that the plan-cache
-    hit/miss split may attribute differently (the total is stable).
-    Worker views are unguarded: any {!Resilient} guard on the engine's
-    database only constrains the committing evaluations. *)
+    {!Online_sharded} is the parallel counterpart. *)
 
 val withdraw : t -> int -> bool
 (** [withdraw engine id] removes the pending entry with pool id [id]

@@ -17,8 +17,8 @@
     {!Relation.count_matching} call per column on stage entry.
 
     {!execute} runs a plan over a [Value.t array] binding frame indexed
-    by slot, invoking a callback per solution.  The interpreted
-    evaluator in {!Eval} remains available for differential testing. *)
+    by slot, invoking a callback per solution.  {!Eval.Naive} is the
+    reference it is differentially tested against. *)
 
 exception Unknown_relation of string
 exception Arity_mismatch of string * int * int

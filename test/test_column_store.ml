@@ -239,7 +239,8 @@ let test_parallel_differential () =
   let run backend =
     let db, queries = Workload.Movies.make ~backend () in
     match
-      Coordination.Parallel.solve ~domains:2 db Workload.Movies.config queries
+      Coordination.Executor.solve_consistent ~domains:2 db
+        Workload.Movies.config queries
     with
     | Error e -> Alcotest.failf "error: %a" Coordination.Consistent.pp_error e
     | Ok o -> o

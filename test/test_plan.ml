@@ -1,6 +1,6 @@
-(* Compiled query plans: differential agreement with the interpreted
-   evaluator on workload databases, plan-cache keying, and index posting
-   maintenance across delete/compact cycles. *)
+(* Compiled query plans: differential agreement with the naive
+   reference evaluator on workload databases, plan-cache keying, and
+   index posting maintenance across delete/compact cycles. *)
 
 open Relational
 open Helpers
@@ -43,17 +43,13 @@ let check_differential ~seed ~rounds db =
   let rng = Prng.create seed in
   for i = 1 to rounds do
     let body = random_body rng db in
-    let reference = Eval.find_all ~plan:Eval.Greedy_indexed db body in
+    let reference = Eval.Naive.find_all db body in
     List.iter
-      (fun (plan, label) ->
-        if not (valuations_equal reference (Eval.find_all ~plan db body)) then
-          Alcotest.failf "round %d: %s disagrees with interpreted on %a" i
-            label Cq.pp body)
-      [
-        (Eval.Compiled, "compiled");
-        (Eval.Compiled_nocache, "compiled (no cache)");
-        (Eval.Fixed_indexed, "fixed order + index");
-      ];
+      (fun (cache, label) ->
+        if not (valuations_equal reference (Eval.find_all ~cache db body)) then
+          Alcotest.failf "round %d: %s disagrees with naive on %a" i label
+            Cq.pp body)
+      [ (true, "compiled"); (false, "compiled (no cache)") ];
     (* count and satisfiable must agree with the same enumeration. *)
     let n = List.length reference in
     Alcotest.(check int) "count agrees" n (Eval.count db body);
@@ -117,7 +113,7 @@ let test_cache_invalidation () =
   Alcotest.(check int) "cache cleared on create_table" 0
     (Database.plan_cache_size db);
   (* A dropped relation makes cached plans for it unusable; the cache is
-     cleared, and a fresh evaluation raises as the interpreter would. *)
+     cleared, and a fresh evaluation raises Unknown_relation. *)
   ignore (Eval.find_all db (q [ atom "G" [ var "a" ] ]));
   Database.drop_table db "G";
   Alcotest.(check int) "cache cleared on drop_table" 0
@@ -129,8 +125,8 @@ let test_nocache_counts_misses () =
   let db = flights_db () in
   Database.reset_counters db;
   let body = q [ atom "F" [ var "x"; cs "Zurich" ] ] in
-  ignore (Eval.find_all ~plan:Eval.Compiled_nocache db body);
-  ignore (Eval.find_all ~plan:Eval.Compiled_nocache db body);
+  ignore (Eval.find_all ~cache:false db body);
+  ignore (Eval.find_all ~cache:false db body);
   let c = Database.counters db in
   Alcotest.(check int) "nocache: all misses" 2 c.Counters.plan_misses;
   Alcotest.(check int) "nocache: no hits" 0 c.Counters.plan_hits;
@@ -222,13 +218,12 @@ let test_delete_compact_cycles () =
       (Printf.sprintf "round %d: survivors visible" round)
       (5 * (round + 1))
       (Eval.count db body);
-    (* The compiled and interpreted paths agree on the churned store. *)
+    (* The compiled path agrees with the naive reference on the churned
+       store. *)
     Alcotest.(check bool)
       (Printf.sprintf "round %d: differential" round)
       true
-      (valuations_equal
-         (Eval.find_all ~plan:Eval.Greedy_indexed db body)
-         (Eval.find_all ~plan:Eval.Compiled db body))
+      (valuations_equal (Eval.Naive.find_all db body) (Eval.find_all db body))
   done
 
 (* ---------------------- observed plan statistics ------------------ *)

@@ -254,8 +254,8 @@ let test_differential_parallel () =
       let db, queries = Workload.Flights.make_worst_case ~rows:40 ~users:8 in
       guarded db cfg @@ fun () ->
       match
-        Coordination.Parallel.solve ~domains:3 db Workload.Flights.config
-          queries
+        Coordination.Executor.solve_consistent ~domains:3 db
+          Workload.Flights.config queries
       with
       | Error _ -> Alcotest.fail "flights workload solves"
       | Ok o -> (o.members, o.stats.db_probes, o.degraded <> None))
@@ -333,7 +333,8 @@ let test_parallel_degrades_on_prepare_abort () =
   with_guard db { Resilient.default_config with max_probes = Some 0 }
   @@ fun _ ->
   match
-    Coordination.Parallel.solve ~domains:2 db Workload.Flights.config queries
+    Coordination.Executor.solve_consistent ~domains:2 db
+      Workload.Flights.config queries
   with
   | Error e -> Alcotest.failf "typed abort expected: %a" Coordination.Consistent.pp_error e
   | Ok o ->
