@@ -240,18 +240,28 @@ let figure8 ?(rows = 100) ?(sizes = List.init 10 (fun i -> 10 * (i + 1))) () =
     sizes;
   csv_finish "fig8"
 
-let run_all ?(fast = false) () =
-  if fast then begin
-    figure4 ~rows:10_000 ~sizes:[ 10; 30; 50 ] ();
-    figure5 ~rows:10_000 ~seeds:3 ~sizes:[ 10; 30; 50 ] ();
-    figure6 ~seeds:3 ~sizes:[ 100; 300; 500 ] ();
-    figure7 ~sizes:[ 100; 300; 500 ] ();
-    figure8 ~sizes:[ 10; 30; 50 ] ()
-  end
-  else begin
-    figure4 ();
-    figure5 ();
-    figure6 ();
-    figure7 ();
-    figure8 ()
-  end
+(* Every figure under its number, with the reduced sizes --fast selects:
+   one table for both `--figure N` and the run of all figures. *)
+let figures : (int * (fast:bool -> unit)) list =
+  [
+    ( 4,
+      fun ~fast ->
+        if fast then figure4 ~rows:10_000 ~sizes:[ 10; 30; 50 ] ()
+        else figure4 () );
+    ( 5,
+      fun ~fast ->
+        if fast then figure5 ~rows:10_000 ~seeds:3 ~sizes:[ 10; 30; 50 ] ()
+        else figure5 () );
+    ( 6,
+      fun ~fast ->
+        if fast then figure6 ~seeds:3 ~sizes:[ 100; 300; 500 ] ()
+        else figure6 () );
+    ( 7,
+      fun ~fast ->
+        if fast then figure7 ~sizes:[ 100; 300; 500 ] () else figure7 () );
+    ( 8,
+      fun ~fast ->
+        if fast then figure8 ~sizes:[ 10; 30; 50 ] () else figure8 () );
+  ]
+
+let run_all ?(fast = false) () = List.iter (fun (_, run) -> run ~fast) figures

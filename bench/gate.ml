@@ -214,10 +214,15 @@ let rows_of = function
     | _ -> [])
   | _ -> []
 
+(* The mean of the two middle values of an even-length column, so the
+   number a two-row series is gated on does not depend on which of its
+   rows happens to sort higher. *)
 let median xs =
-  match List.sort compare xs with
-  | [] -> None
-  | sorted -> Some (List.nth sorted (List.length sorted / 2))
+  let sorted = Array.of_list (List.sort compare xs) in
+  let n = Array.length sorted in
+  if n = 0 then None
+  else if n mod 2 = 1 then Some sorted.(n / 2)
+  else Some ((sorted.((n / 2) - 1) +. sorted.(n / 2)) /. 2.0)
 
 let column_median series name =
   let columns = columns_of series in

@@ -133,7 +133,7 @@ let () =
   let fast = !fast in
   List.iter
     (fun n ->
-      if n < 4 || n > 8 then
+      if not (List.mem_assoc n Figures.figures) then
         refuse "no figure %d (the paper has figures 4-8)" n)
     !figures;
   List.iter
@@ -146,13 +146,7 @@ let () =
   List.iter
     (fun n ->
       ran_something := true;
-      match n with
-      | 4 -> if fast then Figures.figure4 ~rows:10_000 ~sizes:[ 10; 30; 50 ] () else Figures.figure4 ()
-      | 5 -> if fast then Figures.figure5 ~rows:10_000 ~seeds:3 ~sizes:[ 10; 30; 50 ] () else Figures.figure5 ()
-      | 6 -> if fast then Figures.figure6 ~seeds:3 ~sizes:[ 100; 300 ] () else Figures.figure6 ()
-      | 7 -> if fast then Figures.figure7 ~sizes:[ 100; 300 ] () else Figures.figure7 ()
-      | 8 -> if fast then Figures.figure8 ~sizes:[ 10; 30; 50 ] () else Figures.figure8 ()
-      | _ -> assert false (* refused above *))
+      (List.assoc n Figures.figures) ~fast)
     (List.rev !figures);
   List.iter
     (fun name ->

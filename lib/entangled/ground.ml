@@ -1,11 +1,6 @@
 open Relational
 
 let assignment_of db queries ~members subst body_valuation =
-  let default_value =
-    lazy
-      (let dom = Database.active_domain db in
-       if Value.Set.is_empty dom then None else Some (Value.Set.min_elt dom))
-  in
   let extend acc x =
     if Eval.Binding.mem x acc then Some acc
     else
@@ -15,7 +10,7 @@ let assignment_of db queries ~members subst body_valuation =
         match Eval.Binding.find_opt rep body_valuation with
         | Some v -> Some (Eval.Binding.add x v acc)
         | None -> (
-          match Lazy.force default_value with
+          match Database.min_value db with
           | None -> None
           | Some v -> Some (Eval.Binding.add x v acc)))
   in

@@ -23,7 +23,17 @@ val solve :
     no constant and the body never mentions it) from the instance's active
     domain — Definition 1 only asks for {e some} domain value.  Returns
     [None] when the body is unsatisfiable or a free variable exists while
-    the active domain is empty. *)
+    the active domain is empty.
+
+    The value a free variable gets is the least active-domain value under
+    {!Relational.Value.compare} ({!Relational.Database.min_value}), so
+    fired assignments, and the journals recording them, are deterministic.
+    It is cached on {!Relational.Database.data_version}: one scan per
+    version, not one per candidate.  Parallel shards share the cache
+    through their worker views and may race to fill it; the race is
+    benign because every racer computes the same value for the version
+    it read, and a value stored under an older version is never returned
+    once the version has moved. *)
 
 val assignment_of :
   Database.t ->

@@ -27,6 +27,9 @@ type t = {
          bumped directly on structural changes.  Shared with worker
          views.  Unlike [Relation.mutation_count] this stamp moves only
          when *this* database's contents move. *)
+  min_cache : (int * Value.t option) Atomic.t;
+      (* [(v, m)]: [m] is the least live value of every table at data
+         version [v].  Shared with worker views, like [version]. *)
   mutable probe_latency : float;  (* seconds added per probe *)
   mutable guard : Resilient.t option;  (* resilience middleware, if armed *)
 }
@@ -43,6 +46,7 @@ let create ?(backend = Row) () =
     uid = Atomic.fetch_and_add next_uid 1;
     plan_epoch = Atomic.make 0;
     version = Atomic.make 0;
+    min_cache = Atomic.make (-1, None);
     probe_latency = 0.0;
     guard = None;
   }
@@ -63,6 +67,7 @@ let worker_view ?guard db =
     uid = db.uid;
     plan_epoch = db.plan_epoch;
     version = db.version;
+    min_cache = db.min_cache;
     probe_latency = db.probe_latency;
     guard;
   }
@@ -120,15 +125,35 @@ let relations db =
 
 let insert db rel vs = ignore (Relation.insert (relation db rel) (Tuple.make vs))
 
-let active_domain db =
-  List.fold_left
-    (fun acc r -> Value.Set.union acc (Relation.active_domain r))
-    Value.Set.empty (relations db)
-
 let total_tuples db =
   List.fold_left (fun acc r -> acc + Relation.cardinal r) 0 (relations db)
 
 let data_version db = Atomic.get db.version
+
+let scan_min db =
+  let found = ref false and least = ref (Value.Int 0) in
+  let visit v =
+    if (not !found) || Value.compare v !least < 0 then begin
+      found := true;
+      least := v
+    end
+  in
+  Hashtbl.iter (fun _ r -> Relation.iter (Array.iter visit) r) db.tables;
+  if !found then Some !least else None
+
+(* The version is read before the scan: a write racing the scan moves
+   the version past the stored stamp, so the next call rescans rather
+   than trust a minimum that may predate the write.  Concurrent misses
+   at one version compute the same value, so the last store wins
+   harmlessly. *)
+let min_value db =
+  let version = Atomic.get db.version in
+  match Atomic.get db.min_cache with
+  | v, least when v = version -> least
+  | _ ->
+    let least = scan_min db in
+    Atomic.set db.min_cache (version, least);
+    least
 
 (* ------------------------------------------------------------------ *)
 (* Plan cache                                                         *)

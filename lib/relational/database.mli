@@ -71,9 +71,6 @@ val insert : t -> string -> Value.t list -> unit
     @raise Not_found when [rel] does not exist.
     @raise Invalid_argument on an arity mismatch. *)
 
-val active_domain : t -> Value.Set.t
-(** Union of the active domains of all relations. *)
-
 val total_tuples : t -> int
 
 val data_version : t -> int
@@ -85,6 +82,14 @@ val data_version : t -> int
     its {!worker_view}s).  Callers use it to invalidate content-derived
     caches and to measure plan staleness
     ({!Plan.stats}[.compiled_version]). *)
+
+val min_value : t -> Value.t option
+(** The least value under {!Value.compare} in any live tuple of any
+    relation — the minimum of the active domain — or [None] when every
+    relation is empty.  The result is cached with the {!data_version}
+    read before computing it, in a slot shared with {!worker_view}s: a
+    call at an unchanged version is O(1) and allocation-free, a call
+    after any change rescans the row stores once. *)
 
 (** {2 Plan cache}
 

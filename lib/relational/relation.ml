@@ -301,11 +301,6 @@ let distinct_values r ~col =
 let distinct_projection r ~cols =
   fold (fun acc t -> Tuple.Set.add (Tuple.project t cols) acc) Tuple.Set.empty r
 
-let active_domain r =
-  fold
-    (fun acc t -> Array.fold_left (fun acc v -> Value.Set.add v acc) acc t)
-    Value.Set.empty r
-
 let pp ppf r =
   Format.fprintf ppf "@[<v>%a  -- %d tuples" Schema.pp r.schema (cardinal r);
   iter (fun t -> Format.fprintf ppf "@,  %a" Tuple.pp t) r;

@@ -125,9 +125,6 @@ val distinct_projection : t -> cols:int list -> Tuple.Set.t
 (** [distinct_projection r ~cols] is the set of distinct projections of the
     relation's tuples onto [cols]. *)
 
-val active_domain : t -> Value.Set.t
-(** All values occurring anywhere in the relation. *)
-
 val pp : Format.formatter -> t -> unit
 (** Prints the schema and all tuples, one per line. *)
 

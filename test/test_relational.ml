@@ -106,9 +106,7 @@ let test_relation_distinct () =
   Alcotest.(check int) "distinct dests" 2
     (Value.Set.cardinal (Relation.distinct_values r ~col:1));
   Alcotest.(check int) "distinct projection" 2
-    (Tuple.Set.cardinal (Relation.distinct_projection r ~cols:[ 1 ]));
-  Alcotest.(check int) "active domain" 5
-    (Value.Set.cardinal (Relation.active_domain r))
+    (Tuple.Set.cardinal (Relation.distinct_projection r ~cols:[ 1 ]))
 
 let test_relation_delete () =
   let r = Relation.create (Schema.make "F" [ "fid"; "dest" ]) in
@@ -269,6 +267,112 @@ let test_data_version_per_database () =
   Alcotest.(check int) "stamp stays shared after mutation"
     (Database.data_version a) (Database.data_version wv)
 
+(* [Database.min_value] against a fold over every live tuple, through a
+   seeded stream of table creations and drops, inserts and deletes.  A
+   worker view taken at the start (it shares the table map, so it sees
+   later tables) and a fresh one must read the same value as the owner.
+   The last phase deletes the current minimum over and over until the
+   table compacts, so a cache keyed on anything but the content version
+   would serve a deleted value. *)
+let test_min_value_differential () =
+  let oracle db =
+    List.fold_left
+      (fun acc r ->
+        Relation.fold
+          (Array.fold_left (fun acc v ->
+               match acc with
+               | Some m when Value.compare m v <= 0 -> acc
+               | _ -> Some v))
+          acc r)
+      None (Database.relations db)
+  in
+  let opt_value = Alcotest.option value_t in
+  let rng = Prng.create 20120813 in
+  let db = Database.create () in
+  let early_view = Database.worker_view db in
+  let step = ref 0 in
+  let check () =
+    incr step;
+    let expect = oracle db in
+    let msg what = Printf.sprintf "step %d: %s" !step what in
+    Alcotest.check opt_value (msg "owner") expect (Database.min_value db);
+    Alcotest.check opt_value (msg "owner, cached") expect
+      (Database.min_value db);
+    Alcotest.check opt_value (msg "early view") expect
+      (Database.min_value early_view);
+    Alcotest.check opt_value (msg "fresh view") expect
+      (Database.min_value (Database.worker_view db))
+  in
+  let names = [| "A"; "B"; "C" |] in
+  let random_value () =
+    match Prng.int rng 3 with
+    | 0 -> vi (Prng.int_in_range rng ~lo:(-40) ~hi:40)
+    | 1 -> vs (Prng.pick rng [ "a"; "b"; "Zurich"; "Paris" ])
+    | _ -> Value.bool (Prng.bool rng)
+  in
+  check ();
+  for _ = 1 to 600 do
+    (match (Prng.int rng 20, Database.relations db) with
+    | _, [] -> ignore (Database.create_table' db "A" [ "x"; "y" ])
+    | 0, _ ->
+      let name = Prng.pick_array rng names in
+      if not (Database.mem_relation db name) then
+        ignore (Database.create_table' db name [ "x"; "y" ])
+    | 1, (_ :: _ :: _ as rs) ->
+      Database.drop_table db (Relation.name (Prng.pick rng rs))
+    | k, rs when k < 12 ->
+      let r = Prng.pick rng rs in
+      ignore (Relation.insert r (tup [ random_value (); random_value () ]))
+    | _, rs -> (
+      let r = Prng.pick rng rs in
+      match Relation.to_list r with
+      | [] -> ()
+      | ts -> ignore (Relation.delete r (Prng.pick rng ts))));
+    check ()
+  done;
+  List.iter
+    (fun r -> Database.drop_table db (Relation.name r))
+    (Database.relations db);
+  check ();
+  let r = Database.create_table' db "M" [ "x" ] in
+  for i = 1 to 40 do
+    ignore (Relation.insert r (tup [ vi i ]))
+  done;
+  check ();
+  for i = 1 to 30 do
+    Alcotest.check opt_value "minimum before its delete" (Some (vi i))
+      (Database.min_value db);
+    ignore (Relation.delete r (tup [ vi i ]));
+    check ()
+  done;
+  (* The 21st delete left dead rows in the majority and compacted the
+     store, so physical row ids moved under a warm cache. *)
+  Alcotest.(check int) "live rows" 10 (Relation.cardinal r);
+  Alcotest.check opt_value "after compaction" (Some (vi 31))
+    (Database.min_value early_view)
+
+(* A second [min_value] at an unchanged data version is a cache read:
+   no scan and no allocation.  Counted in minor words, so the bound is
+   the same on every host, and a scan or set build on every call over
+   these 20k rows fails it. *)
+let test_min_value_cached_allocation () =
+  let db = Database.create () in
+  ignore (Database.create_table' db "Posts" [ "pid"; "topic" ]);
+  for i = 1 to 20_000 do
+    Database.insert db "Posts" [ vi i; vs (Printf.sprintf "t%d" (i mod 97)) ]
+  done;
+  let view = Database.worker_view db in
+  Alcotest.check (Alcotest.option value_t) "first call scans" (Some (vi 1))
+    (Database.min_value db);
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    ignore (Sys.opaque_identity (Database.min_value db));
+    ignore (Sys.opaque_identity (Database.min_value view))
+  done;
+  let words = Gc.minor_words () -. before in
+  if words >= 10.0 then
+    Alcotest.failf "200 cached min_value calls allocated %.0f minor words" words
+
 (* Observed statistics on relations: monotone insert/delete tallies
    (surviving compaction), first-column distinct counts, and the
    estimate_bucket cardinality estimate. *)
@@ -339,6 +443,10 @@ let suite =
     Alcotest.test_case "relation arity check" `Quick test_relation_arity_check;
     Alcotest.test_case "database" `Quick test_database;
     Alcotest.test_case "database probes" `Quick test_database_probes;
+    Alcotest.test_case "min_value matches a fold over tuples" `Quick
+      test_min_value_differential;
+    Alcotest.test_case "min_value is a cache read when unchanged" `Quick
+      test_min_value_cached_allocation;
     Alcotest.test_case "data_version is per-database" `Quick
       test_data_version_per_database;
     Alcotest.test_case "relation observed stats (row)" `Quick
